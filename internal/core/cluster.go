@@ -459,16 +459,7 @@ func (c *Cluster) RunRouted(q ClusterQuery, route RouteFunc) (*ClusterResult, er
 		}
 	}
 
-	switch {
-	case len(q.Aggs) > 0 && len(q.GroupBy) > 0:
-		res.Rows = mergeGroupedAggs(q.Aggs, len(q.GroupBy), groupKinds, partials)
-	case len(q.Aggs) > 0:
-		res.Rows = []schema.Tuple{mergeAggs(q.Aggs, partials)}
-	default:
-		for _, p := range partials {
-			res.Rows = append(res.Rows, p...)
-		}
-	}
+	res.Rows = mergePartials(q.Aggs, groupKinds, partials)
 	if len(res.FailedWorkers) > 0 {
 		return res, &PartialResultError{Failed: res.FailedWorkers, Cause: lastCause}
 	}
@@ -519,62 +510,6 @@ func groupByKinds(q ClusterQuery, files, buildFiles []*heap.File) ([]schema.Kind
 	return kinds, nil
 }
 
-// mergeGroupedAggs combines each worker's partial groups into the
-// global grouped result: rows are keyed by their leading nGroup
-// columns (the [group values..., agg values...] device output
-// convention), partial groups with equal keys fold with the aggregate
-// semantics of mergeAggs, and the merged rows come out sorted by the
-// group-by values — a deterministic order independent of partition
-// count, routing, and failover. Groups only exist where a partition
-// matched rows, so Min/Max merge exactly here (no zero-row caveat).
-func mergeGroupedAggs(aggs []plan.AggSpec, nGroup int, kinds []schema.Kind, partials [][]schema.Tuple) []schema.Tuple {
-	var all []schema.Tuple
-	for _, rows := range partials {
-		all = append(all, rows...)
-	}
-	sort.SliceStable(all, func(i, j int) bool {
-		for g := 0; g < nGroup; g++ {
-			if cv := schema.Compare(kinds[g], all[i][g], all[j][g]); cv != 0 {
-				return cv < 0
-			}
-		}
-		return false
-	})
-	var out []schema.Tuple
-	for _, row := range all {
-		if len(out) > 0 {
-			last := out[len(out)-1]
-			same := true
-			for g := 0; g < nGroup; g++ {
-				if schema.Compare(kinds[g], last[g], row[g]) != 0 {
-					same = false
-					break
-				}
-			}
-			if same {
-				for i, a := range aggs {
-					k := nGroup + i
-					switch a.Kind {
-					case plan.Sum, plan.Count:
-						last[k] = schema.IntVal(last[k].Int + row[k].Int)
-					case plan.Min:
-						if row[k].Int < last[k].Int {
-							last[k] = row[k]
-						}
-					case plan.Max:
-						if row[k].Int > last[k].Int {
-							last[k] = row[k]
-						}
-					}
-				}
-				continue
-			}
-		}
-		out = append(out, append(schema.Tuple(nil), row...))
-	}
-	return out
-}
-
 // Explain renders the cluster's execution plan for q — the partition
 // fan-out, one partition's in-device program, and the host-side merge —
 // without executing anything.
@@ -606,42 +541,4 @@ func (c *Cluster) Explain(q ClusterQuery) (string, error) {
 	}
 	out += "merge: " + merge + "\n"
 	return out, nil
-}
-
-// mergeAggs combines one scalar-aggregate row per worker into the
-// global row: sums and counts add, mins and maxes fold.
-//
-// Caveat: a partition whose scan matched nothing still contributes a
-// row of zeros (the scalar-aggregate-over-empty-input convention), so
-// Min/Max merges are only exact when every partition matched at least
-// one tuple; Sum and Count merge exactly always.
-func mergeAggs(aggs []plan.AggSpec, partials [][]schema.Tuple) schema.Tuple {
-	out := make(schema.Tuple, len(aggs))
-	first := true
-	for _, rows := range partials {
-		if len(rows) == 0 {
-			continue
-		}
-		row := rows[0]
-		for i, a := range aggs {
-			if first {
-				out[i] = schema.IntVal(row[i].Int)
-				continue
-			}
-			switch a.Kind {
-			case plan.Sum, plan.Count:
-				out[i] = schema.IntVal(out[i].Int + row[i].Int)
-			case plan.Min:
-				if row[i].Int < out[i].Int {
-					out[i] = row[i]
-				}
-			case plan.Max:
-				if row[i].Int > out[i].Int {
-					out[i] = row[i]
-				}
-			}
-		}
-		first = false
-	}
-	return out
 }

@@ -7,7 +7,6 @@ import (
 	"smartssd/internal/device"
 	"smartssd/internal/exec"
 	"smartssd/internal/opt"
-	"smartssd/internal/plan"
 	"smartssd/internal/schema"
 )
 
@@ -110,68 +109,19 @@ func (e *Engine) runHybrid(spec QuerySpec, t, build *Table) (*Result, error) {
 	if hostEnd > res.Elapsed {
 		res.Elapsed = hostEnd
 	}
-	res.Rows, err = mergePartials(spec, res.Schema, devRows, hostRows)
-	if err != nil {
-		return nil, err
+	// Grouped output leads with the group columns; without aggregates
+	// GroupBy is ignored and the rows concatenate.
+	var groupKinds []schema.Kind
+	if len(spec.Aggs) > 0 {
+		for g := range spec.GroupBy {
+			groupKinds = append(groupKinds, res.Schema.Column(g).Kind)
+		}
 	}
+	res.Rows = mergePartials(spec.Aggs, groupKinds, [][]schema.Tuple{devRows, hostRows})
 	e.finishMetrics(res, t)
 	res.Faults.DeviceAttempts = 1
 	res.Elapsed += win.diff(e, &res.Faults)
 	return res, nil
-}
-
-// mergePartials combines device and host partial results: aggregates
-// fold algebraically (per group when grouping), projections concatenate.
-//
-// Caveat shared with any partial-aggregation scheme: a side whose scan
-// matched no rows still reports a scalar zero row, which a MIN/MAX
-// merge cannot distinguish from a real zero; SUM and COUNT merge
-// exactly. Grouped aggregation is unaffected (empty sides contribute no
-// groups).
-func mergePartials(spec QuerySpec, out *schema.Schema, a, b []schema.Tuple) ([]schema.Tuple, error) {
-	if len(spec.Aggs) == 0 {
-		return append(a, b...), nil
-	}
-	ng := len(spec.GroupBy)
-	groups := map[string]schema.Tuple{}
-	var order []string
-	var keyBuf []byte
-	fold := func(rows []schema.Tuple) {
-		for _, r := range rows {
-			keyBuf = keyBuf[:0]
-			for g := 0; g < ng; g++ {
-				keyBuf = out.EncodeValue(keyBuf, g, r[g])
-			}
-			st, ok := groups[string(keyBuf)]
-			if !ok {
-				groups[string(keyBuf)] = cloneRow(r)
-				order = append(order, string(keyBuf))
-				continue
-			}
-			for i, agg := range spec.Aggs {
-				c := ng + i
-				switch agg.Kind {
-				case plan.Sum, plan.Count:
-					st[c] = schema.IntVal(st[c].Int + r[c].Int)
-				case plan.Min:
-					if r[c].Int < st[c].Int {
-						st[c] = r[c]
-					}
-				case plan.Max:
-					if r[c].Int > st[c].Int {
-						st[c] = r[c]
-					}
-				}
-			}
-		}
-	}
-	fold(a)
-	fold(b)
-	outRows := make([]schema.Tuple, 0, len(order))
-	for _, k := range order {
-		outRows = append(outRows, groups[k])
-	}
-	return outRows, nil
 }
 
 // setScanRange finds the TableScan over the named file in an operator
@@ -186,17 +136,4 @@ func setScanRange(op exec.Operator, file string, from, count int64) {
 	for _, c := range op.Children() {
 		setScanRange(c, file, from, count)
 	}
-}
-
-// cloneRow deep-copies a tuple, including Char bytes that alias a page
-// buffer.
-func cloneRow(t schema.Tuple) schema.Tuple {
-	out := make(schema.Tuple, len(t))
-	for i, v := range t {
-		if v.Bytes != nil {
-			v.Bytes = append([]byte(nil), v.Bytes...)
-		}
-		out[i] = v
-	}
-	return out
 }

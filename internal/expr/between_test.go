@@ -68,12 +68,9 @@ func TestParseBetweenErrors(t *testing.T) {
 		src     string
 		wantSub string
 	}{
-		{"l_discount BETWEEN 5", "BETWEEN needs AND"},
-		{"l_discount BETWEEN 5 7", "BETWEEN needs AND"},
 		{"l_discount BETWEEN 'a' AND 7", "cannot compare"},
 		{"l_returnflag BETWEEN 1 AND 2", "cannot compare"},
-		{"l_discount NOT 5", "expected BETWEEN or LIKE after NOT"},
-		{"between BETWEEN 1 AND 2", "unexpected keyword"},
+		{"l_discount NOT BETWEEN 1 AND 'z'", "cannot compare"},
 	}
 	for _, c := range cases {
 		_, err := Parse(s, c.src)
@@ -84,18 +81,5 @@ func TestParseBetweenErrors(t *testing.T) {
 		if !strings.Contains(err.Error(), c.wantSub) {
 			t.Errorf("%s: error %q, want substring %q", c.src, err, c.wantSub)
 		}
-	}
-}
-
-func TestParseDateExported(t *testing.T) {
-	days, err := ParseDate("1994-01-01")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := FormatDate(days); got != "1994-01-01" {
-		t.Fatalf("FormatDate(ParseDate) = %q, want 1994-01-01", got)
-	}
-	if _, err := ParseDate("1994-02-30"); err == nil {
-		t.Fatal("ParseDate accepted a nonexistent date")
 	}
 }

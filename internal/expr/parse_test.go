@@ -90,40 +90,33 @@ func TestParseExpressions(t *testing.T) {
 	}
 }
 
+// TestParseErrors covers what binding against a schema rejects; the
+// grammar's own negative rows live in package syntax. Every error
+// carries a byte offset into the text.
 func TestParseErrors(t *testing.T) {
 	s := parseSchema()
-	cases := []string{
-		"",                                // empty input
-		"l_discount >",                    // dangling operator
-		"nonexistent = 1",                 // unknown column
-		"l_discount = 'x'",                // int vs char comparison
-		"p_type + 1",                      // arithmetic on char
-		"p_type LIKE '%suffix'",           // non-prefix pattern
-		"p_type LIKE 'a%b%'",              // multiple wildcards
-		"l_quantity LIKE 'x%'",            // LIKE on a non-char column
-		"DATE '1994-13-01'",               // month out of range
-		"DATE '1994-02-30'",               // nonexistent day
-		"DATE 'hello'",                    // malformed date
-		"DATE 3",                          // DATE without literal
-		"'unterminated",                   // unterminated string
-		"1 ~ 2",                           // unknown character
-		"(1 + 2",                          // unbalanced paren
-		"1 2",                             // trailing token
-		"CASE WHEN 1=1 THEN 2",            // CASE missing ELSE/END
-		"CASE WHEN 1 THEN 2 ELSE 'x' END", // branch kinds disagree
-		"NOT 5 AND 1=1",                   // NOT over non-boolean... (5 is Int64 so boolean-typed; see below)
-		"AND",                             // reserved word as expression
-		"l_discount = CASE",               // CASE truncated
-		strings.Repeat("(", 300) + "1" + strings.Repeat(")", 300), // depth bomb
+	cases := []struct{ src, want string }{
+		{"l_discount >", "expected an expression"}, // syntax errors pass through
+		{"nonexistent = 1", `unknown column "nonexistent"`},
+		{"l_discount = 'x'", "cannot compare"},
+		{"p_type + 1", "arithmetic needs numeric operands"},
+		{"- p_type", "arithmetic needs numeric operands"},
+		{"l_quantity LIKE 'x%'", "LIKE needs a CHAR operand"},
+		{"CASE WHEN 1 THEN 2 ELSE 'x' END", "CASE branches disagree"},
+		{"CASE WHEN p_type THEN 1 ELSE 0 END", "CASE condition must be boolean"},
+		{"NOT p_type", "NOT operand must be boolean"},
+		{"l_discount = 1 AND p_type", "AND operand must be boolean"},
+		{"lineitem.l_discount > 5", "qualified column"},
+		{"SUM(l_discount) > 5", "only allowed at the top of a select item"},
 	}
-	for _, src := range cases {
-		if src == "NOT 5 AND 1=1" {
-			// Int literals are Int64 and therefore pass the boolean check;
-			// this line documents the representation rather than testing it.
+	for _, c := range cases {
+		e, err := Parse(s, c.src)
+		if err == nil {
+			t.Errorf("Parse(%q) = %s, want error containing %q", c.src, e, c.want)
 			continue
 		}
-		if e, err := Parse(s, src); err == nil {
-			t.Errorf("Parse(%q) = %s, want error", src, e)
+		if !strings.Contains(err.Error(), c.want) || !strings.Contains(err.Error(), "at offset") {
+			t.Errorf("Parse(%q): error %q, want %q and a byte offset", c.src, err, c.want)
 		}
 	}
 }

@@ -5,6 +5,8 @@
 package plan
 
 import (
+	"strings"
+
 	"smartssd/internal/expr"
 )
 
@@ -38,6 +40,22 @@ func (k AggKind) String() string {
 		return "MAX"
 	}
 }
+
+// AggKindByName looks an aggregate up by its SQL name, ignoring case:
+// the inverse of String, shared by the SQL binder and the wire
+// protocol's aggregate kinds.
+func AggKindByName(name string) (AggKind, bool) {
+	for k := Sum; k <= Max; k++ {
+		if strings.EqualFold(name, k.String()) {
+			return k, true
+		}
+	}
+	return 0, false
+}
+
+// DefaultName is the output column name of an unnamed aggregate: its
+// lowercase SQL name ("sum", "count", "min", "max").
+func (k AggKind) DefaultName() string { return strings.ToLower(k.String()) }
 
 // AggSpec is one aggregate output column: Kind over E, named Name.
 // E is ignored for Count.

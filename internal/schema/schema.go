@@ -12,6 +12,7 @@ package schema
 import (
 	"encoding/binary"
 	"fmt"
+	"strconv"
 	"strings"
 	"time"
 )
@@ -186,6 +187,40 @@ func DateVal(year int, month time.Month, day int) Value {
 
 // Days reports the day count of a Date value built with DateVal.
 func (v Value) Days() int64 { return v.Int }
+
+// ParseDate converts a 'YYYY-MM-DD' literal body to epoch days (the
+// Date encoding), rejecting out-of-range components rather than
+// normalizing them (a DATE '1994-99-99' is a typo, not March of 2002).
+func ParseDate(s string) (int64, error) {
+	parts := strings.Split(s, "-")
+	if len(parts) != 3 {
+		return 0, fmt.Errorf("malformed date '%s': want 'YYYY-MM-DD'", s)
+	}
+	nums := make([]int, 3)
+	for i, part := range parts {
+		n, err := strconv.Atoi(part)
+		if err != nil {
+			return 0, fmt.Errorf("malformed date '%s': want 'YYYY-MM-DD'", s)
+		}
+		nums[i] = n
+	}
+	y, m, d := nums[0], nums[1], nums[2]
+	if y < 1700 || y > 2500 || m < 1 || m > 12 || d < 1 || d > 31 {
+		return 0, fmt.Errorf("date '%s' out of range", s)
+	}
+	t := time.Date(y, time.Month(m), d, 0, 0, 0, 0, time.UTC)
+	if t.Day() != d || int(t.Month()) != m {
+		return 0, fmt.Errorf("date '%s' does not exist", s)
+	}
+	return t.Unix() / 86400, nil
+}
+
+// FormatDate renders epoch days back to the 'YYYY-MM-DD' literal body,
+// the inverse of ParseDate; canonical renderers use it.
+func FormatDate(days int64) string {
+	t := time.Unix(days*86400, 0).UTC()
+	return fmt.Sprintf("%04d-%02d-%02d", t.Year(), int(t.Month()), t.Day())
+}
 
 // Tuple is a decoded row: one Value per schema column.
 type Tuple []Value

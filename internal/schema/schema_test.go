@@ -174,6 +174,24 @@ func TestDateVal(t *testing.T) {
 	}
 }
 
+func TestParseDate(t *testing.T) {
+	days, err := ParseDate("1994-01-01")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := DateVal(1994, time.January, 1).Days(); days != want {
+		t.Fatalf("ParseDate(1994-01-01) = %d, want %d", days, want)
+	}
+	if got := FormatDate(days); got != "1994-01-01" {
+		t.Fatalf("FormatDate(ParseDate) = %q, want 1994-01-01", got)
+	}
+	for _, bad := range []string{"1994-02-30", "1994-13-01", "1994-99-99", "hello", "1994-01", "1600-01-01"} {
+		if _, err := ParseDate(bad); err == nil {
+			t.Errorf("ParseDate(%q) accepted an invalid date", bad)
+		}
+	}
+}
+
 func TestCompareAndEqual(t *testing.T) {
 	if Compare(Int32, IntVal(1), IntVal(2)) != -1 ||
 		Compare(Int32, IntVal(2), IntVal(1)) != 1 ||

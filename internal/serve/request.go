@@ -64,8 +64,8 @@ type Request struct {
 	SQL string `json:"sql,omitempty"`
 	// Table names the catalogued table to query.
 	Table string `json:"table,omitempty"`
-	// Predicate is an optional filter in the expression grammar
-	// (expr.ParsePredicate).
+	// Predicate is an optional filter: a boolean SQL expression over
+	// the table's columns (expr.ParsePredicate).
 	Predicate string `json:"predicate,omitempty"`
 	// Aggs lists scalar aggregates; mutually exclusive with Output.
 	Aggs []AggRequest `json:"aggs,omitempty"`
@@ -95,11 +95,11 @@ type Request struct {
 
 // AggRequest is one scalar aggregate.
 type AggRequest struct {
-	// Kind is "sum", "count", "min", or "max".
+	// Kind is "sum", "count", "min", or "max", in any letter case.
 	Kind string `json:"kind"`
 	// Expr is the aggregated expression; required except for count.
 	Expr string `json:"expr,omitempty"`
-	// Name labels the output column; defaults to the kind.
+	// Name labels the output column; defaults to the lowercase kind.
 	Name string `json:"name,omitempty"`
 }
 
@@ -367,20 +367,12 @@ func DecodeRequest(src SchemaSource, data []byte) (*Query, error) {
 		return nil, fmt.Errorf("serve: more than %d output columns", MaxOutputCols)
 	}
 	for i, a := range req.Aggs {
-		spec := plan.AggSpec{Name: a.Name}
-		switch a.Kind {
-		case "sum":
-			spec.Kind = plan.Sum
-		case "count":
-			spec.Kind = plan.Count
-		case "min":
-			spec.Kind = plan.Min
-		case "max":
-			spec.Kind = plan.Max
-		default:
+		kind, ok := plan.AggKindByName(a.Kind)
+		if !ok {
 			return nil, fmt.Errorf("serve: agg %d: unknown kind %q", i, a.Kind)
 		}
-		if a.Kind == "count" {
+		spec := plan.AggSpec{Kind: kind, Name: a.Name}
+		if kind == plan.Count {
 			if a.Expr != "" {
 				return nil, fmt.Errorf("serve: agg %d: count takes no expr", i)
 			}
@@ -397,7 +389,7 @@ func DecodeRequest(src SchemaSource, data []byte) (*Query, error) {
 			}
 		}
 		if spec.Name == "" {
-			spec.Name = a.Kind
+			spec.Name = kind.DefaultName()
 		}
 		q.Aggs = append(q.Aggs, spec)
 	}

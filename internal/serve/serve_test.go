@@ -688,9 +688,25 @@ func TestDecodeRequestErrors(t *testing.T) {
 		{"output missing expr", `{"table":"lineitem","output":[{"name":"q"}]}`},
 		{"cluster trace", `{"table":"lineitem","target":"cluster","trace":true,"aggs":[{"kind":"count"}]}`},
 	}
-	for _, c := range cases {
+	// Expression strings go through the SQL grammar, whose lexer accepts
+	// '.', ',' and calls; each of these must be a 400 whose error
+	// points into the text.
+	exprCases := []struct{ name, body string }{
+		{"qualified column", `{"table":"lineitem","predicate":"lineitem.l_discount > 5","aggs":[{"kind":"count"}]}`},
+		{"aggregate in predicate", `{"table":"lineitem","predicate":"SUM(l_discount) > 5","aggs":[{"kind":"count"}]}`},
+		{"stray comma", `{"table":"lineitem","predicate":"l_discount > 5, 1","aggs":[{"kind":"count"}]}`},
+	}
+	for _, c := range append(cases, exprCases...) {
 		if q, err := DecodeRequest(s, []byte(c.body)); err == nil {
 			t.Errorf("%s: decoded to %+v, want error", c.name, q)
+		}
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	for _, c := range exprCases {
+		status, data := post(t, ts, c.body)
+		if status != http.StatusBadRequest || !strings.Contains(string(data), "at offset") {
+			t.Errorf("%s: POST = %d (%s), want 400 with a byte offset", c.name, status, data)
 		}
 	}
 }

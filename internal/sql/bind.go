@@ -1,3 +1,14 @@
+// Package sql is the SQL front end for the paper's supported query
+// class. It parses statements with package syntax, binds them against
+// the engine catalog onto the shared expression trees (through
+// expr.Bind) and operator shapes (core.QuerySpec), estimates
+// selectivity from column statistics for the pushdown planner, and
+// renders EXPLAIN reports.
+//
+// Nothing in this package panics on malformed input: every lexical,
+// syntactic, and binding error is a non-nil error carrying the byte
+// offset of the offending token (FuzzParseSQL and FuzzSQLRoundTrip hold
+// the front end to that contract).
 package sql
 
 import (
@@ -8,6 +19,7 @@ import (
 	"smartssd/internal/expr"
 	"smartssd/internal/plan"
 	"smartssd/internal/schema"
+	"smartssd/internal/syntax"
 )
 
 // Catalog resolves table names to row schemas. It is the same shape as
@@ -62,7 +74,7 @@ func (c ClusterCatalog) TableColumnStats(name string) ([]core.ColumnStats, bool)
 // need to describe it.
 type Compiled struct {
 	// Stmt is the parsed statement (Stmt.Explain marks EXPLAIN requests).
-	Stmt *SelectStmt
+	Stmt *syntax.SelectStmt
 	// Spec is the executable lowering; Spec.EstSelectivity carries the
 	// statistics-based estimate the pushdown planner prices.
 	Spec core.QuerySpec
@@ -70,18 +82,18 @@ type Compiled struct {
 	// group-by columns first for grouped aggregates, then the aggregate
 	// names; or the projection names.
 	OutputNames []string
-	// SQL is the canonical rendering (Render of Stmt): uppercase
+	// SQL is the canonical rendering (syntax.Render of Stmt): uppercase
 	// keywords, fully parenthesized expressions, its own fixpoint under
-	// Parse.
+	// syntax.Parse.
 	SQL string
 }
 
 // Compile parses src and binds it against cat, lowering onto the shared
-// expression trees and operator shapes. Like Parse, it never panics:
+// expression trees and operator shapes. Like syntax.Parse, it never panics:
 // unknown tables or columns, type mismatches, and unsupported shapes
 // are all position-carrying errors.
 func Compile(cat Catalog, src string) (*Compiled, error) {
-	stmt, err := Parse(src)
+	stmt, err := syntax.Parse(src)
 	if err != nil {
 		return nil, err
 	}
@@ -93,14 +105,19 @@ func Compile(cat Catalog, src string) (*Compiled, error) {
 		Stmt:        stmt,
 		Spec:        b.spec,
 		OutputNames: b.outputNames,
-		SQL:         Render(stmt),
+		SQL:         syntax.Render(stmt),
 	}, nil
 }
 
 type binder struct {
 	src  string
 	cat  Catalog
-	stmt *SelectStmt
+	stmt *syntax.SelectStmt
+
+	// residualWhere is Where minus a comma-form join equality; the
+	// selectivity estimator prices this — the predicate the scan
+	// actually filters with.
+	residualWhere syntax.Expr
 
 	probe, build         *schema.Schema // build is nil without a join
 	probeName, buildName string
@@ -169,7 +186,7 @@ func (b *binder) bindFrom() error {
 
 // resolveCol maps a column reference to its combined-row index: probe
 // columns first, then (for joins) build columns.
-func (b *binder) resolveCol(c ColRef) (int, error) {
+func (b *binder) resolveCol(c syntax.ColRef) (int, error) {
 	np := b.probe.NumColumns()
 	if c.Table != "" {
 		switch {
@@ -272,7 +289,7 @@ func (b *binder) bindJoinAndFilter() (expr.Expr, error) {
 		return nil, b.errf(where.Pos(),
 			"WHERE must be boolean-valued, got %s (%s)", f.Kind(), f)
 	}
-	b.stmt.residualWhere = where
+	b.residualWhere = where
 	return f, nil
 }
 
@@ -281,16 +298,16 @@ func (b *binder) bindJoinAndFilter() (expr.Expr, error) {
 // names; otherwise empty strings. Resolution failures are not errors
 // here — the term simply is not the join condition, and binding the
 // residual filter reports them with full context.
-func (b *binder) joinKeysOf(t Expr) (probeCol, buildCol string, err error) {
-	cmp, ok := t.(Cmp)
+func (b *binder) joinKeysOf(t syntax.Expr) (probeCol, buildCol string, err error) {
+	cmp, ok := t.(syntax.Cmp)
 	if !ok || cmp.Op != "=" {
 		return "", "", nil
 	}
-	lc, ok := cmp.L.(ColRef)
+	lc, ok := cmp.L.(syntax.ColRef)
 	if !ok {
 		return "", "", nil
 	}
-	rc, ok := cmp.R.(ColRef)
+	rc, ok := cmp.R.(syntax.ColRef)
 	if !ok {
 		return "", "", nil
 	}
@@ -311,19 +328,19 @@ func (b *binder) joinKeysOf(t Expr) (probeCol, buildCol string, err error) {
 }
 
 // topConjuncts flattens the top-level AND of a predicate.
-func topConjuncts(e Expr) []Expr {
+func topConjuncts(e syntax.Expr) []syntax.Expr {
 	if e == nil {
 		return nil
 	}
-	if l, ok := e.(Logical); ok && l.Op == "AND" {
+	if l, ok := e.(syntax.Logical); ok && l.Op == "AND" {
 		return l.Terms
 	}
-	return []Expr{e}
+	return []syntax.Expr{e}
 }
 
 // rejoinConjuncts rebuilds the predicate with conjunct i removed.
-func rejoinConjuncts(terms []Expr, i int) Expr {
-	rest := make([]Expr, 0, len(terms)-1)
+func rejoinConjuncts(terms []syntax.Expr, i int) syntax.Expr {
+	rest := make([]syntax.Expr, 0, len(terms)-1)
 	rest = append(rest, terms[:i]...)
 	rest = append(rest, terms[i+1:]...)
 	switch len(rest) {
@@ -332,7 +349,7 @@ func rejoinConjuncts(terms []Expr, i int) Expr {
 	case 1:
 		return rest[0]
 	default:
-		return Logical{Op: "AND", Terms: rest, P: rest[0].Pos()}
+		return syntax.Logical{Op: "AND", Terms: rest, P: rest[0].Pos()}
 	}
 }
 
@@ -355,7 +372,7 @@ func (b *binder) bindGroupBy() error {
 func (b *binder) bindSelectList() error {
 	aggregated := len(b.stmt.GroupBy) > 0
 	for _, item := range b.stmt.Items {
-		if _, ok := item.E.(FuncCall); ok {
+		if _, ok := item.E.(syntax.FuncCall); ok {
 			aggregated = true
 		}
 	}
@@ -376,7 +393,7 @@ func (b *binder) bindSelectList() error {
 	// list must spell exactly that so SQL results match it.
 	for i := 0; i < nGroup; i++ {
 		item := b.stmt.Items[i]
-		c, ok := item.E.(ColRef)
+		c, ok := item.E.(syntax.ColRef)
 		if !ok {
 			return b.errf(item.P,
 				"select item %d must be the GROUP BY column %q (group columns come first, in GROUP BY order)",
@@ -401,7 +418,7 @@ func (b *binder) bindSelectList() error {
 	}
 	for i := nGroup; i < len(b.stmt.Items); i++ {
 		item := b.stmt.Items[i]
-		call, ok := item.E.(FuncCall)
+		call, ok := item.E.(syntax.FuncCall)
 		if !ok {
 			if nGroup > 0 {
 				return b.errf(item.P, "select item %d must be an aggregate (only the first %d items may be GROUP BY columns)", i+1, nGroup)
@@ -418,23 +435,15 @@ func (b *binder) bindSelectList() error {
 	return b.checkDistinctOutputNames()
 }
 
-func (b *binder) bindAggregate(call FuncCall, alias string) (plan.AggSpec, error) {
+func (b *binder) bindAggregate(call syntax.FuncCall, alias string) (plan.AggSpec, error) {
 	var spec plan.AggSpec
-	kind := strings.ToUpper(call.Name)
-	switch kind {
-	case "SUM":
-		spec.Kind = plan.Sum
-	case "COUNT":
-		spec.Kind = plan.Count
-	case "MIN":
-		spec.Kind = plan.Min
-	case "MAX":
-		spec.Kind = plan.Max
-	default:
-		// The parser only builds FuncCall for these four names.
+	kind, ok := plan.AggKindByName(call.Name)
+	if !ok {
+		// The parser only builds FuncCall for the aggregate names.
 		return spec, b.errf(call.P, "unknown aggregate %s", call.Name)
 	}
-	if spec.Kind == plan.Count {
+	spec.Kind = kind
+	if kind == plan.Count {
 		if call.Arg != nil {
 			return spec, b.errf(call.Arg.Pos(), "COUNT takes * (it counts rows, not values)")
 		}
@@ -453,8 +462,7 @@ func (b *binder) bindAggregate(call FuncCall, alias string) (plan.AggSpec, error
 	}
 	spec.Name = alias
 	if spec.Name == "" {
-		// Matches the wire protocol's default aggregate column names.
-		spec.Name = strings.ToLower(kind)
+		spec.Name = kind.DefaultName()
 	}
 	return spec, nil
 }
@@ -467,10 +475,10 @@ func (b *binder) bindProjection() error {
 		}
 		name := item.Alias
 		if name == "" {
-			if c, ok := item.E.(ColRef); ok {
+			if c, ok := item.E.(syntax.ColRef); ok {
 				name = c.Name
 			} else {
-				name = RenderExpr(item.E)
+				name = syntax.RenderExpr(item.E)
 			}
 		}
 		b.spec.Output = append(b.spec.Output, plan.OutputCol{Name: name, E: e})
@@ -520,189 +528,18 @@ func (b *binder) bindOrderLimit() error {
 	return nil
 }
 
-// bindExpr lowers an AST expression onto the shared expr nodes with the
-// same type rules as expr.Parse: booleans are Int64, the integer kinds
-// interoperate in comparisons and arithmetic, Char only compares with
-// Char, and LIKE needs a Char operand.
-func (b *binder) bindExpr(e Expr) (expr.Expr, error) {
-	switch v := e.(type) {
-	case ColRef:
-		i, err := b.resolveCol(v)
-		if err != nil {
-			return nil, err
-		}
-		c := b.combinedColumn(i)
-		return expr.Col{Index: i, Name: c.Name, K: c.Kind}, nil
-	case IntLit:
-		return expr.IntConst(v.V), nil
-	case StrLit:
-		return expr.StrConst(v.V), nil
-	case DateLit:
-		return expr.DateConst(v.Days), nil
-	case Cmp:
-		l, err := b.bindExpr(v.L)
-		if err != nil {
-			return nil, err
-		}
-		r, err := b.bindExpr(v.R)
-		if err != nil {
-			return nil, err
-		}
-		if !kindsComparable(l.Kind(), r.Kind()) {
-			return nil, b.errf(v.P, "cannot compare %s (%s) with %s (%s)",
-				l.Kind(), l, r.Kind(), r)
-		}
-		return expr.Cmp{Op: cmpOpOf(v.Op), L: l, R: r}, nil
-	case Logical:
-		terms := make([]expr.Expr, len(v.Terms))
-		for i, t := range v.Terms {
-			bt, err := b.bindExpr(t)
-			if err != nil {
-				return nil, err
-			}
-			if bt.Kind() != schema.Int64 {
-				return nil, b.errf(t.Pos(), "%s operand must be boolean, got %s (%s)",
-					v.Op, bt.Kind(), bt)
-			}
-			terms[i] = bt
-		}
-		if v.Op == "OR" {
-			return expr.Or{Terms: terms}, nil
-		}
-		return expr.And{Terms: terms}, nil
-	case Not:
-		inner, err := b.bindExpr(v.E)
-		if err != nil {
-			return nil, err
-		}
-		if inner.Kind() != schema.Int64 {
-			return nil, b.errf(v.E.Pos(), "NOT operand must be boolean, got %s (%s)",
-				inner.Kind(), inner)
-		}
-		return expr.Not{E: inner}, nil
-	case Arith:
-		l, err := b.bindExpr(v.L)
-		if err != nil {
-			return nil, err
-		}
-		r, err := b.bindExpr(v.R)
-		if err != nil {
-			return nil, err
-		}
-		if !kindNumeric(l.Kind()) || !kindNumeric(r.Kind()) {
-			return nil, b.errf(v.P, "arithmetic needs numeric operands, got %s and %s",
-				l.Kind(), r.Kind())
-		}
-		return expr.Arith{Op: arithOpOf(v.Op), L: l, R: r}, nil
-	case Between:
-		// Desugars to the half-open pair, the range form the
-		// interval-aware selectivity estimator recognizes.
-		l, err := b.bindExpr(v.E)
-		if err != nil {
-			return nil, err
-		}
-		lo, err := b.bindExpr(v.Lo)
-		if err != nil {
-			return nil, err
-		}
-		hi, err := b.bindExpr(v.Hi)
-		if err != nil {
-			return nil, err
-		}
-		if !kindsComparable(l.Kind(), lo.Kind()) || !kindsComparable(l.Kind(), hi.Kind()) {
-			return nil, b.errf(v.P, "cannot compare %s (%s) with BETWEEN bounds %s and %s",
-				l.Kind(), l, lo.Kind(), hi.Kind())
-		}
-		var out expr.Expr = expr.And{Terms: []expr.Expr{
-			expr.Cmp{Op: expr.GE, L: l, R: lo},
-			expr.Cmp{Op: expr.LE, L: l, R: hi},
-		}}
-		if v.Negate {
-			out = expr.Not{E: out}
-		}
-		return out, nil
-	case Like:
-		l, err := b.bindExpr(v.E)
-		if err != nil {
-			return nil, err
-		}
-		if l.Kind() != schema.Char {
-			return nil, b.errf(v.P, "LIKE needs a CHAR operand, got %s (%s)", l.Kind(), l)
-		}
-		var out expr.Expr = expr.LikePrefix{E: l, Prefix: strings.TrimSuffix(v.Pattern, "%")}
-		if v.Negate {
-			out = expr.Not{E: out}
-		}
-		return out, nil
-	case CaseExpr:
-		cond, err := b.bindExpr(v.Cond)
-		if err != nil {
-			return nil, err
-		}
-		if cond.Kind() != schema.Int64 {
-			return nil, b.errf(v.Cond.Pos(), "CASE condition must be boolean, got %s (%s)",
-				cond.Kind(), cond)
-		}
-		then, err := b.bindExpr(v.Then)
-		if err != nil {
-			return nil, err
-		}
-		els, err := b.bindExpr(v.Else)
-		if err != nil {
-			return nil, err
-		}
-		if then.Kind() != els.Kind() && !(kindNumeric(then.Kind()) && kindNumeric(els.Kind())) {
-			return nil, b.errf(v.P, "CASE branches disagree: THEN is %s, ELSE is %s",
-				then.Kind(), els.Kind())
-		}
-		return expr.Case{Cond: cond, Then: then, Else: els}, nil
-	case FuncCall:
-		return nil, b.errf(v.P,
-			"%s is only allowed at the top of a select item", strings.ToUpper(v.Name))
-	default:
-		return nil, b.errf(e.Pos(), "unsupported expression node %T", e)
-	}
+// bindExpr lowers an AST expression through the shared binder,
+// resolving columns against the combined probe/build row.
+func (b *binder) bindExpr(e syntax.Expr) (expr.Expr, error) {
+	return expr.Bind(b.src, e, b.col)
 }
 
-func cmpOpOf(op string) expr.CmpOp {
-	switch op {
-	case "=":
-		return expr.EQ
-	case "<>", "!=":
-		return expr.NE
-	case "<":
-		return expr.LT
-	case "<=":
-		return expr.LE
-	case ">":
-		return expr.GT
-	default:
-		return expr.GE
+// col is the binder's column resolver.
+func (b *binder) col(c syntax.ColRef) (expr.Col, error) {
+	i, err := b.resolveCol(c)
+	if err != nil {
+		return expr.Col{}, err
 	}
-}
-
-func arithOpOf(op string) expr.ArithOp {
-	switch op {
-	case "+":
-		return expr.Add
-	case "-":
-		return expr.Sub
-	case "*":
-		return expr.Mul
-	default:
-		return expr.Div
-	}
-}
-
-// kindsComparable mirrors expr's comparison rule: the integer-valued
-// kinds interoperate, Char only compares with Char.
-func kindsComparable(a, b schema.Kind) bool {
-	if a == schema.Char || b == schema.Char {
-		return a == b
-	}
-	return true
-}
-
-func kindNumeric(k schema.Kind) bool {
-	return k == schema.Int32 || k == schema.Int64 || k == schema.Date
+	cc := b.combinedColumn(i)
+	return expr.Col{Index: i, Name: cc.Name, K: cc.Kind}, nil
 }

@@ -4,6 +4,7 @@ import (
 	"math"
 
 	"smartssd/internal/core"
+	"smartssd/internal/syntax"
 )
 
 // Selectivity estimation. The binder collects per-column min/max stats
@@ -28,7 +29,7 @@ const (
 // The result is clamped to [0.0001, 1] — the planner treats a
 // non-positive estimate as "unset", which only the JSON path uses.
 func (b *binder) estimate() float64 {
-	w := b.stmt.residualWhere
+	w := b.residualWhere
 	if w == nil {
 		return 1.0
 	}
@@ -36,9 +37,9 @@ func (b *binder) estimate() float64 {
 	return math.Min(1.0, math.Max(0.0001, sel))
 }
 
-func (b *binder) estimateExpr(e Expr) float64 {
+func (b *binder) estimateExpr(e syntax.Expr) float64 {
 	switch v := e.(type) {
-	case Logical:
+	case syntax.Logical:
 		if v.Op == "AND" {
 			return b.estimateAnd(v.Terms)
 		}
@@ -48,14 +49,14 @@ func (b *binder) estimateExpr(e Expr) float64 {
 			pass *= 1.0 - b.estimateExpr(t)
 		}
 		return 1.0 - pass
-	case Not:
+	case syntax.Not:
 		return 1.0 - b.estimateExpr(v.E)
-	case Cmp, Between:
+	case syntax.Cmp, syntax.Between:
 		if iv, ok := b.intervalOf(e); ok {
 			return b.fractionOf(iv)
 		}
 		switch c := e.(type) {
-		case Cmp:
+		case syntax.Cmp:
 			switch c.Op {
 			case "=":
 				return selEquality
@@ -64,7 +65,7 @@ func (b *binder) estimateExpr(e Expr) float64 {
 			default:
 				return selRange
 			}
-		case Between:
+		case syntax.Between:
 			if c.Negate {
 				// Price the complement of the non-negated interval.
 				pos := c
@@ -77,7 +78,7 @@ func (b *binder) estimateExpr(e Expr) float64 {
 			return selRange
 		}
 		return selOther
-	case Like:
+	case syntax.Like:
 		if v.Negate {
 			return 1.0 - selLike
 		}
@@ -92,7 +93,7 @@ func (b *binder) estimateExpr(e Expr) float64 {
 // "x >= lo AND x < hi" count as one interval. Terms that are not range
 // constraints multiply in independently. Iteration follows term order,
 // so the estimate is deterministic in the written predicate.
-func (b *binder) estimateAnd(terms []Expr) float64 {
+func (b *binder) estimateAnd(terms []syntax.Expr) float64 {
 	var ivs []interval // by first appearance of each column
 	sel := 1.0
 	for _, t := range terms {
@@ -144,9 +145,9 @@ func (a interval) intersect(o interval) interval {
 // single integer-kind column: a comparison between a column and a
 // literal (either side order) or a non-negated BETWEEN with literal
 // bounds. Everything else is not an interval.
-func (b *binder) intervalOf(e Expr) (interval, bool) {
+func (b *binder) intervalOf(e syntax.Expr) (interval, bool) {
 	switch v := e.(type) {
-	case Cmp:
+	case syntax.Cmp:
 		if col, val, op, ok := b.colLit(v); ok {
 			iv := interval{col: col}
 			switch op {
@@ -171,11 +172,11 @@ func (b *binder) intervalOf(e Expr) (interval, bool) {
 			}
 			return iv, true
 		}
-	case Between:
+	case syntax.Between:
 		if v.Negate {
 			return interval{}, false
 		}
-		c, ok := v.E.(ColRef)
+		c, ok := v.E.(syntax.ColRef)
 		if !ok {
 			return interval{}, false
 		}
@@ -199,8 +200,8 @@ func (b *binder) intervalOf(e Expr) (interval, bool) {
 // colLit decomposes "col op lit" or "lit op col" (mirroring the
 // operator for the latter) into the column's combined index, the
 // literal value, and the normalized operator.
-func (b *binder) colLit(v Cmp) (col int, val int64, op string, ok bool) {
-	if c, isCol := v.L.(ColRef); isCol {
+func (b *binder) colLit(v syntax.Cmp) (col int, val int64, op string, ok bool) {
+	if c, isCol := v.L.(syntax.ColRef); isCol {
 		if lit, isLit := litValue(v.R); isLit {
 			if i, err := b.resolveCol(c); err == nil {
 				return i, lit, v.Op, true
@@ -208,7 +209,7 @@ func (b *binder) colLit(v Cmp) (col int, val int64, op string, ok bool) {
 		}
 		return 0, 0, "", false
 	}
-	if c, isCol := v.R.(ColRef); isCol {
+	if c, isCol := v.R.(syntax.ColRef); isCol {
 		if lit, isLit := litValue(v.L); isLit {
 			if i, err := b.resolveCol(c); err == nil {
 				return i, lit, mirrorOp(v.Op), true
@@ -233,11 +234,11 @@ func mirrorOp(op string) string {
 	}
 }
 
-func litValue(e Expr) (int64, bool) {
+func litValue(e syntax.Expr) (int64, bool) {
 	switch v := e.(type) {
-	case IntLit:
+	case syntax.IntLit:
 		return v.V, true
-	case DateLit:
+	case syntax.DateLit:
 		return v.Days, true
 	default:
 		return 0, false

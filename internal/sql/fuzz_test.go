@@ -2,26 +2,30 @@ package sql
 
 import (
 	"testing"
+
+	"smartssd/internal/syntax"
 )
 
-// FuzzParseSQL asserts the parser never panics, and that any statement
-// it accepts renders to a canonical form that re-parses to the same
-// canonical form (the Render fixpoint).
+// FuzzParseSQL asserts the statement grammar (syntax.Parse) never
+// panics, and that any statement it accepts renders to a canonical
+// form that re-parses to the same canonical form (the Render
+// fixpoint). It lives beside FuzzSQLRoundTrip so the two share their
+// seeds.
 func FuzzParseSQL(f *testing.F) {
 	for _, seed := range fuzzSeeds {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, src string) {
-		stmt, err := Parse(src)
+		stmt, err := syntax.Parse(src)
 		if err != nil {
 			return
 		}
-		canon := Render(stmt)
-		again, err := Parse(canon)
+		canon := syntax.Render(stmt)
+		again, err := syntax.Parse(canon)
 		if err != nil {
 			t.Fatalf("canonical form rejected: Parse(%q) -> %q, re-parse: %v", src, canon, err)
 		}
-		if got := Render(again); got != canon {
+		if got := syntax.Render(again); got != canon {
 			t.Fatalf("canonical form not a fixpoint:\n src   %q\n canon %q\n again %q", src, canon, got)
 		}
 	})
